@@ -18,7 +18,7 @@ out over the :mod:`repro.store.sweep` worker pool.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +30,7 @@ from ..kernels import KernelSpec, table1_kernels
 from ..runtime import compile_loop, execute_kernel
 from ..runtime.guard import FailureKind, classify_failure
 from ..sim import BudgetExceeded, DeadlockError, MachineParams, MemoryFault, SimError
+from ..store.keys import KeyMemo
 from ..verify import verify_result
 
 log = logging.getLogger(__name__)
@@ -68,6 +69,15 @@ class ExpConfig:
     #: by contract, so warm caches are shared across modes.
     sim_mode: str = "reference"
 
+    def __post_init__(self) -> None:
+        # Cells are matched by equality (run cache, key memo) but keyed
+        # by their JSON; 10 == 10.0 and 1 == True while their JSON
+        # differs, so every field takes its declared type here.
+        for name, kind in _EXP_FIELD_TYPES:
+            value = getattr(self, name)
+            if type(value) is not kind:
+                object.__setattr__(self, name, _coerce_field(name, kind, value))
+
     def compiler(self, profile_workload=None) -> CompilerConfig:
         return CompilerConfig(
             max_expr_height=self.max_expr_height,
@@ -85,6 +95,32 @@ class ExpConfig:
             queue_depth=self.queue_depth,
             queue_latency=self.queue_latency,
         )
+
+    def seq_compiler(self) -> CompilerConfig:
+        """Compiler configuration of the cell's single-core sequential
+        baseline."""
+        return CompilerConfig(max_expr_height=self.max_expr_height)
+
+
+#: (name, type) of every ExpConfig field.
+_EXP_FIELD_TYPES = tuple(
+    (f.name, {"int": int, "bool": bool, "str": str}[f.type])
+    for f in fields(ExpConfig)
+)
+
+
+def _coerce_field(name: str, kind: type, value):
+    """``value`` as ``kind`` when that is the same number or string
+    (``10.0`` → ``10``, ``1`` → ``True``, numpy scalars); else TypeError."""
+    try:
+        coerced = kind(value)
+    except (TypeError, ValueError):
+        coerced = None
+    if coerced is None or coerced != value:
+        raise TypeError(
+            f"ExpConfig.{name} must be {kind.__name__}, got {value!r}"
+        )
+    return coerced
 
 
 @dataclass
@@ -132,33 +168,25 @@ def seed_cache(run: KernelRun) -> None:
     _cache[(run.kernel, run.config)] = run
 
 
-def _workload_recipe(spec: KernelSpec) -> dict:
-    return {"scalars": dict(spec.scalars), "specs": dict(spec.specs)}
+#: process-wide memo behind every store key (see :func:`store_key_for`).
+_KEYS = KeyMemo()
 
 
-def store_key_for(spec: KernelSpec, config: ExpConfig, loop=None) -> str:
-    """Persistent-store key for the parallel run of one grid cell."""
-    from ..store.keys import kernel_run_key
+def store_key_for(spec: KernelSpec, config: ExpConfig, kind: str = "run") -> str:
+    """Persistent-store key of one grid cell.
 
-    return kernel_run_key(
-        loop if loop is not None else spec.loop(),
-        config.n_cores,
-        config.compiler(),
-        config.machine(),
-        config.trip,
-        spec.seed + config.seed,
-        workload=_workload_recipe(spec),
-    )
-
-
-def _seq_store_key(spec: KernelSpec, config: ExpConfig, loop, seq_cfg) -> str:
-    from ..store.keys import kernel_run_key
-
-    return kernel_run_key(
-        loop, 1, seq_cfg, config.machine(), config.trip,
-        spec.seed + config.seed,
-        workload=_workload_recipe(spec), kind="seq",
-    )
+    ``kind="run"`` keys the parallel run, ``"seq"`` the sequential
+    baseline (one core, :meth:`ExpConfig.seq_compiler`); serve also
+    keys its ``compile`` and ``trace`` payloads here.  The digest equals
+    :func:`repro.store.keys.kernel_run_key` on the cell's loop and
+    configuration, byte for byte, but comes from the process-wide
+    :class:`~repro.store.keys.KeyMemo`: the IR is built and printed once
+    per (spec object, ``max_expr_height``), the compiler and machine
+    forms are serialized once per configuration (ignoring trip, seed
+    and ``sim_mode``), and a repeated (spec, config, kind) costs one
+    lookup.  Safe to call from several threads.
+    """
+    return _KEYS.key(spec, config, kind)
 
 
 def _task_event(obs, name: str, t0: float, status: str) -> None:
@@ -203,8 +231,7 @@ def run_kernel(
         _task_event(obs, task, t0, "cached")
         return hit
 
-    loop = spec.loop()
-    digest = store_key_for(spec, config, loop=loop)
+    digest = store_key_for(spec, config)
     if store is not None:
         cached = store.get_run(digest)
         if cached is not None:
@@ -212,18 +239,18 @@ def run_kernel(
             _task_event(obs, task, t0, "cached")
             return cached
 
+    loop = spec.loop()
     wl = spec.workload(trip=config.trip, seed=spec.seed + config.seed)
     ref = run_loop(loop, wl)
 
     # Sequential baseline: cached separately (digest-keyed) so the
     # record under the baseline key is never a parallel KernelRun.
-    seq_cfg = CompilerConfig(max_expr_height=config.max_expr_height)
-    seq_digest = _seq_store_key(spec, config, loop, seq_cfg)
+    seq_digest = store_key_for(spec, config, "seq")
     seq_cycles = _seq_cache.get(seq_digest)
     if seq_cycles is None and store is not None:
         seq_cycles = store.get_seq(seq_digest)
     if seq_cycles is None:
-        k1 = compile_loop(loop, 1, seq_cfg)
+        k1 = compile_loop(loop, 1, config.seq_compiler())
         seq_cycles = execute_kernel(k1, wl, config.machine()).cycles
         if store is not None:
             store.put_seq(seq_digest, spec.name, seq_cycles)
@@ -339,8 +366,6 @@ def run_kernel_batch(
     group to the per-lane scalar path, so the returned records are
     always exactly what :func:`run_kernel` would have produced.
     """
-    from dataclasses import replace as _replace
-
     if store is _UNSET:
         from ..store.disk import default_store
 
@@ -348,17 +373,13 @@ def run_kernel_batch(
 
     configs = list(configs)
     out: dict[int, KernelRun] = {}
-    loop = None
     groups: dict[ExpConfig, list[int]] = {}
     for i, cfg in enumerate(configs):
         batchable = not cfg.adaptive and cfg.sim_mode == "batched"
         if batchable and (spec.name, cfg) not in _cache:
-            if loop is None:
-                loop = spec.loop()
             if (store is None
-                    or store.get_run(store_key_for(spec, cfg, loop=loop))
-                    is None):
-                groups.setdefault(_replace(cfg, seed=0), []).append(i)
+                    or store.get_run(store_key_for(spec, cfg)) is None):
+                groups.setdefault(replace(cfg, seed=0), []).append(i)
                 continue
         out[i] = run_kernel(spec, cfg, store=store, obs=obs)
     for lanes in groups.values():
@@ -367,7 +388,7 @@ def run_kernel_batch(
                 out[i] = run_kernel(spec, configs[i], store=store, obs=obs)
             continue
         runs = _run_batch_group(
-            spec, loop, [configs[i] for i in lanes], store, obs,
+            spec, [configs[i] for i in lanes], store, obs,
         )
         for i, run in zip(lanes, runs):
             out[i] = run
@@ -375,7 +396,7 @@ def run_kernel_batch(
 
 
 def _run_batch_group(
-    spec: KernelSpec, loop, cells: list[ExpConfig], store, obs,
+    spec: KernelSpec, cells: list[ExpConfig], store, obs,
 ) -> list[KernelRun]:
     """Compute one config-modulo-seed column of uncached batched cells."""
     import time as _time
@@ -384,6 +405,7 @@ def _run_batch_group(
     from ..sim.fast.specialize import source_key
 
     t0 = _time.perf_counter()
+    loop = spec.loop()
     machine = cells[0].machine()
     wls = [
         spec.workload(trip=c.trip, seed=spec.seed + c.seed) for c in cells
@@ -394,8 +416,7 @@ def _run_batch_group(
     # Sequential baselines: one single-core kernel serves every lane
     # (no profile feedback in the baseline config), so the uncached
     # lanes can run as one batch too.
-    seq_cfg = CompilerConfig(max_expr_height=cells[0].max_expr_height)
-    seq_digests = [_seq_store_key(spec, c, loop, seq_cfg) for c in cells]
+    seq_digests = [store_key_for(spec, c, "seq") for c in cells]
     seq_cycles: list[float | None] = []
     for d in seq_digests:
         v = _seq_cache.get(d)
@@ -404,7 +425,7 @@ def _run_batch_group(
         seq_cycles.append(v)
     missing = [i for i, v in enumerate(seq_cycles) if v is None]
     if missing:
-        k1 = compile_loop(loop, 1, seq_cfg)
+        k1 = compile_loop(loop, 1, cells[0].seq_compiler())
         try:
             vals = [
                 r.cycles
@@ -500,7 +521,7 @@ def _run_batch_group(
         )
         _cache[(spec.name, c)] = run
         if store is not None:
-            store.put_run(store_key_for(spec, c, loop=loop), run)
+            store.put_run(store_key_for(spec, c), run)
         _task_event(obs, f"{spec.name}:c{c.n_cores}", t0, failure or "ok")
         runs.append(run)
     return runs

@@ -131,23 +131,17 @@ def run_payload(run: Any) -> dict:
 def cell_key(spec: Any, config: Any, kind: str = "run") -> str:
     """Content-addressed key for one (kernel, config) cell.
 
-    ``kind="run"`` matches :func:`repro.experiments.common.store_key_for`
-    exactly (so serve and sweep share L2 records); ``compile`` and
-    ``trace`` keys only ever index the in-memory L1.
+    Derived by :func:`repro.experiments.common.store_key_for`, through
+    the same process-wide key memo as sweeps: ``kind="run"`` keys are
+    the store's own (so serve and sweep share L2 records); ``compile``
+    and ``trace`` keys only ever index the in-memory L1.  The service
+    keeps a request-level memo in front of this (``_key_memo``: request
+    fields → key, no config object built on a hit) and sends only its
+    misses here.
     """
-    from ..experiments.common import _workload_recipe
-    from ..store.keys import kernel_run_key
+    from ..experiments import common
 
-    return kernel_run_key(
-        spec.loop(),
-        config.n_cores,
-        config.compiler(),
-        config.machine(),
-        config.trip,
-        spec.seed + config.seed,
-        workload=_workload_recipe(spec),
-        kind=kind,
-    )
+    return common.store_key_for(spec, config, kind=kind)
 
 
 def compute_payload(
@@ -252,10 +246,11 @@ class ServeService:
         self._collector = MetricsCollector(self.registry)
         self.bus.subscribe(self._on_event)
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        #: (kernel, sorted-config-items, kind) → content digest.  Key
-        #: derivation rebuilds and prints the kernel IR (~ms); memoising
-        #: it keeps the warm hit path in the microsecond range.  Bounded
-        #: like L1: the input space is the same.
+        #: (kernel, sorted-config-items, kind) → content digest.  A hit
+        #: skips building and hashing an ExpConfig, which keeps the warm
+        #: hit path in the microsecond range; misses go to the shared
+        #: key memo through ``cell_key``.  Bounded like L1: the input
+        #: space is the same.
         self._key_memo = LRUCache(capacity=max(1024, self.config.l1_capacity))
         self._executor: Any = None
         self._started = time.monotonic()

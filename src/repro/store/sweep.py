@@ -1,14 +1,15 @@
 """Parallel sweep engine: schedule the kernel × config matrix.
 
 ``run_grid`` fans every (kernel, config) cell out over a
-``multiprocessing`` worker pool.  Scheduling is longest-job-first:
+``multiprocessing`` worker pool.  Pool scheduling is longest-job-first:
 each task's expected cost is looked up from previously stored cycle
 counts, and unknown tasks are treated as the longest (they run first,
 which both minimizes makespan under uncertainty and populates the
-store for the next sweep).  Workers share the content-addressed store
-through the filesystem — its atomic renames make concurrent writers of
-the same key safe — so a warm grid completes without a single
-compile/simulate call.
+store for the next sweep).  A serial grid runs in grid order and
+skips that lookup, so a warm serial cell costs one record read.
+Workers share the content-addressed store through the filesystem — its
+atomic renames make concurrent writers of the same key safe — so a warm
+grid completes without a single compile/simulate call.
 
 Every failure mode degrades gracefully: a pool that cannot be created
 (restricted environments without ``/dev/shm``, missing ``fork``) falls
@@ -179,16 +180,11 @@ class _JournalScribe:
     def __init__(self, journal: Any, by_name: Mapping[str, Any]) -> None:
         self.journal = journal
         self.by_name = by_name
-        self._keys: dict[tuple, str] = {}
         self._intents: set[str] = set()
         self._done: set[str] = set()
 
     def key_for(self, task: SweepTask) -> str:
-        key = self._keys.get(task.cell)
-        if key is None:
-            key = _task_key(self.by_name[task.kernel], task.config)
-            self._keys[task.cell] = key
-        return key
+        return _task_key(self.by_name[task.kernel], task.config)
 
     def intent(self, task: SweepTask) -> None:
         from dataclasses import asdict
@@ -240,7 +236,6 @@ def run_grid(
     after the store write, so a killed sweep resumes with
     :func:`resume_grid` re-dispatching only the missing cells.
     """
-    from ..experiments import common
     from .disk import default_store
     from .journal import SweepJournal
 
@@ -248,10 +243,14 @@ def run_grid(
         store = default_store()
     by_name = {spec.name: spec for spec in specs}
     tasks = [SweepTask(spec.name, cfg) for spec in specs for cfg in configs]
-    # Longest-job-first from cached cycle counts (stable for ties).
-    tasks.sort(
-        key=lambda t: -_estimate_cycles(store, by_name[t.kernel], t.config)
-    )
+    n_workers = resolve_workers(workers)
+    if n_workers > 1 and len(tasks) > 1:
+        # Longest-job-first from cached cycle counts (stable for ties).
+        # Only the pool benefits from the order; serially it would cost
+        # a second record read of every warm cell.
+        tasks.sort(
+            key=lambda t: -_estimate_cycles(store, by_name[t.kernel], t.config)
+        )
 
     owned_journal = journal is not None and not isinstance(journal, SweepJournal)
     if owned_journal:
@@ -263,7 +262,7 @@ def run_grid(
     try:
         _dispatch_tasks(
             tasks, by_name, results,
-            workers=workers, timeout=timeout, retries=retries,
+            workers=n_workers, timeout=timeout, retries=retries,
             store=store, obs=obs, scribe=scribe,
         )
     finally:
