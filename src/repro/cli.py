@@ -33,8 +33,8 @@ Commands
 * ``fuzz`` — seeded differential fuzzing campaign with shrinking and
   replayable JSON artifacts (``--replay`` re-probes a saved finding;
   ``--corpus frontend`` mutates ingested real-loop IR instead of
-  drawing from the grammar; ``--sim-modes specialized,batched`` arms
-  fast-simulator legs that must match the reference back end exactly);
+  drawing from the grammar; ``--sim-modes specialized`` arms a
+  fast-simulator leg that must match the reference back end exactly);
 * ``bench-sim`` — time the specialized simulator against the
   reference core over the Table I corpus; ``--write`` records the
   baseline to ``BENCH_sim.json``, ``--check`` fails below its floor;
@@ -559,7 +559,11 @@ def _cmd_fuzz(args) -> int:
     from .fuzz import replay_artifact, run_campaign
 
     if args.replay:
-        expected, observed = replay_artifact(args.replay)
+        try:
+            expected, observed = replay_artifact(args.replay)
+        except ValueError as exc:
+            print(f"fuzz: {exc}")
+            return 2
         same = expected == observed
         print(f"artifact : {args.replay}")
         print(f"expected : {expected}")
@@ -572,11 +576,6 @@ def _cmd_fuzz(args) -> int:
         sim_modes = tuple(
             tok.strip() for tok in args.sim_modes.split(",") if tok.strip()
         )
-        bad = [m for m in sim_modes if m not in ("specialized", "batched")]
-        if bad:
-            print(f"--sim-modes: unknown mode(s) {bad}; "
-                  "expected specialized,batched")
-            return 2
     try:
         res = run_campaign(
             args.seed,
@@ -1064,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "'frontend' mutates frontend-ingested kernel IR")
     fp.add_argument("--sim-modes", default=None,
                     help="comma list of fast-simulator legs to arm per probe "
-                    "(specialized,batched): each must match the reference "
+                    "(specialized): each must match the reference "
                     "back end exactly or the probe is a finding")
     fp.set_defaults(fn=_cmd_fuzz)
 

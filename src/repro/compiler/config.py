@@ -82,8 +82,7 @@ class CompilerConfig:
     #: simulator back end used when executing the compiled kernel.
     #: ``"reference"`` is the per-instruction interpreter
     #: (:class:`repro.sim.core.Core`); ``"specialized"`` pre-compiles
-    #: each program into a generator closure (:mod:`repro.sim.fast`);
-    #: ``"batched"`` advances many sweep cells in numpy lockstep.  All
-    #: three are bit-identical by contract, so this field is excluded
+    #: each program into a generator closure (:mod:`repro.sim.fast`).
+    #: Both are bit-identical by contract, so this field is excluded
     #: from store keys (see :mod:`repro.store.keys`).
     sim_mode: str = "reference"

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Iterable
 
 from ..analysis.cost import CostModel
 from .codegraph import CodeGraph
@@ -103,6 +102,55 @@ def _fiber_cost(fiber: Fiber, cost: CostModel) -> float:
         for leaf in consumed_leaves(op):
             total += cost.leaf_cost(leaf)
     return total
+
+
+def strongly_connected_components(
+    nodes: Iterable[int], edges: Iterable[tuple[int, int]],
+) -> list[list[int]]:
+    """Strongly connected components of a digraph (iterative Tarjan).
+
+    Endpoints of ``edges`` missing from ``nodes`` are nodes too.  Each
+    component is a sorted list; the order of the components is not.
+    """
+    succ: dict[int, list[int]] = {n: [] for n in nodes}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+        succ.setdefault(b, [])
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    comps: list[list[int]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp: list[int] = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    comps.append(sorted(comp))
+    return comps
 
 
 def merge_partitions(
@@ -244,10 +292,8 @@ def merge_partitions(
     def merge_cycles() -> None:
         """Throughput heuristic: collapse every directed cycle."""
         while True:
-            g = nx.DiGraph()
-            g.add_nodes_from(nodes)
-            g.add_edges_from(directed)
-            sccs = [sorted(c) for c in nx.strongly_connected_components(g) if len(c) > 1]
+            sccs = [c for c in strongly_connected_components(nodes, directed)
+                    if len(c) > 1]
             if not sccs:
                 return
             for comp in sorted(sccs):

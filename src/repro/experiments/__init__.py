@@ -25,7 +25,6 @@ from .common import (
     amean,
     geomean,
     run_kernel,
-    run_kernel_batch,
     run_table1,
     run_table1_grid,
 )
@@ -60,5 +59,5 @@ def run_all(trip: int = 64) -> dict[str, str]:
 
 __all__ = [
     "ExpConfig", "KernelRun", "REGISTRY", "amean", "geomean", "run_all",
-    "run_kernel", "run_kernel_batch", "run_table1", "run_table1_grid",
+    "run_kernel", "run_table1", "run_table1_grid",
 ]

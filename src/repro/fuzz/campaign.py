@@ -34,6 +34,7 @@ from ..check import check_kernel, mutate_kernel
 from ..interp import run_loop
 from ..ir.stmts import Loop
 from ..sim import MachineFailure, MachineParams, MemoryFault, SimError
+from ..sim.fast import SIM_MODES
 from ..verify import verify_result
 from ..workload import random_workload
 from .artifact import save_artifact
@@ -74,6 +75,9 @@ DEFAULT_MATRIX: tuple[FuzzCell, ...] = (
     FuzzCell(4, 4, False),
     FuzzCell(4, 20, True),
 )
+
+#: the back ends a fuzz leg can compare against the reference core.
+FAST_SIM_MODES = tuple(m for m in SIM_MODES if m != "reference")
 
 #: per-probe instruction budget — generated loops are tiny, so a
 #: runaway is a finding, not a workload.
@@ -163,22 +167,13 @@ def _probe_fast_leg(kernel, workload, params, mode, ref_exc, ref_result):
 
     Returns ``None`` when the leg agrees (same failure kind on
     failures, :func:`results_equal` on successes) and a signature
-    fragment otherwise.  A batched :class:`Divergence` is the machine
-    *declining* the lane — the scalar fallback covers it — not a
-    disagreement.
+    fragment otherwise.
     """
     from ..runtime.exec import execute_kernel
     from ..runtime.guard import classify_failure
-    from ..sim.fast.batch import Divergence, run_batch
 
     try:
-        if mode == "batched":
-            try:
-                fast = run_batch(kernel, [workload], params)[0]
-            except Divergence:
-                return None
-        else:
-            fast = execute_kernel(kernel, workload, params, sim_mode=mode)
+        fast = execute_kernel(kernel, workload, params, sim_mode=mode)
     except (MachineFailure, SimError, MemoryFault) as exc:
         if ref_exc is None:
             return f"unexpected-{classify_failure(exc).value}"
@@ -201,16 +196,24 @@ def probe_loop(
 ) -> str:
     """Differential probe of one loop in one cell; returns a signature.
 
-    ``sim_modes`` adds fast-simulator legs (``"specialized"`` /
-    ``"batched"``): each re-runs the same kernel on the same workload
-    through that back end and must match the reference leg exactly —
-    same failure kind on failures, bit-identical results and cycle
-    counts on success.  A deviation returns a ``"<mode>:..."``
-    signature, extending the static/dynamic taxonomy.
+    ``sim_modes`` adds fast-simulator legs (:data:`FAST_SIM_MODES`):
+    each re-runs the same kernel on the same workload through that back
+    end and must match the reference leg exactly — same failure kind on
+    failures, bit-identical results and cycle counts on success.  A
+    deviation returns a ``"<mode>:..."`` signature, extending the
+    static/dynamic taxonomy.  A mode outside :data:`FAST_SIM_MODES`
+    raises :class:`ValueError` before anything is probed.
     """
     from ..runtime.exec import compile_loop, execute_kernel
     from ..runtime.guard import classify_failure
     from .artifact import decode_loop, encode_loop
+
+    bad = [m for m in sim_modes if m not in FAST_SIM_MODES]
+    if bad:
+        raise ValueError(
+            f"unknown fast sim mode(s) {','.join(map(str, bad))}; "
+            f"expected {','.join(FAST_SIM_MODES)}"
+        )
 
     # Canonicalize through the artifact codec first: node identity is
     # computation identity in this IR, and generated loops share leaf

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 from .events import STALL_QUEUE_EMPTY, STALL_QUEUE_FULL, STALL_TRANSFER
@@ -357,16 +356,8 @@ def update_bench(path: str | os.PathLike, row: dict) -> dict:
     doc["rows"].append(row)
     doc["rows"].sort(key=lambda r: (str(r.get("kernel")), r.get("cores") or 0,
                                     r.get("trip") or 0))
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    # imported here: repro.store imports the compiler, which imports obs
+    from ..store.disk import atomic_write_json
+
+    atomic_write_json(path, doc)
     return doc

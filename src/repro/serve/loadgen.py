@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..store.disk import atomic_write_json
 from .client import ServeClient, TCPClient
 from .service import ServeConfig, ServeService
 from .stats import percentiles
@@ -340,16 +341,5 @@ def write_bench(path: str | os.PathLike, report: dict) -> dict:
     doc["rows"] = [r for r in doc["rows"] if _bench_key(r) != _bench_key(row)]
     doc["rows"].append(row)
     doc["rows"].sort(key=lambda r: json.dumps(_bench_key(r), default=str))
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_json(path, doc)
     return doc

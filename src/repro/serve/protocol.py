@@ -63,7 +63,7 @@ class Request:
     depth: int = 20
     latency: int = 5
     speculation: bool = False
-    #: simulator back end ("reference" | "specialized" | "batched");
+    #: simulator back end ("reference" | "specialized");
     #: bit-exact by contract, so it never perturbs the cell cache key.
     sim_mode: str = "reference"
     client: str = "anon"
@@ -129,9 +129,9 @@ def parse_request(obj: Any, default_client: str = "anon") -> Request:
         raise BadRequest(f"'client' must be a non-empty string, got {client!r}")
 
     sim_mode = obj.get("sim_mode", "reference")
-    if sim_mode not in ("reference", "specialized", "batched"):
+    if sim_mode not in ("reference", "specialized"):
         raise BadRequest(
-            f"'sim_mode' must be one of reference|specialized|batched, "
+            f"'sim_mode' must be one of reference|specialized, "
             f"got {sim_mode!r}"
         )
 

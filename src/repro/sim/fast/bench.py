@@ -20,9 +20,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
+
+from ...store.disk import atomic_write_json
 
 BENCH_SIM_PATH = "BENCH_sim.json"
 BENCH_SIM_SCHEMA = 1
@@ -157,19 +158,7 @@ def bench_doc(result: SimBenchResult, floor: float = DEFAULT_FLOOR) -> dict:
 
 def write_bench(path: str | os.PathLike, doc: dict) -> None:
     """Atomic whole-document write (temp file + rename)."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".bench.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_json(path, doc)
 
 
 def load_floor(path: str | os.PathLike) -> float:

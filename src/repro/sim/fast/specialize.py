@@ -62,8 +62,11 @@ _DISPATCH_CHUNK = 8
 _UNSET = object()
 
 #: session counters: ``codegen`` counts actual source generations,
-#: ``mem_hit`` in-process runner-cache hits, ``disk_hit`` store hits.
-_COUNTERS = {"codegen": 0, "mem_hit": 0, "disk_hit": 0}
+#: ``mem_hit`` in-process runner-cache hits, ``disk_hit`` store hits,
+#: ``reference_swap`` machines asked for ``sim_mode="specialized"``
+#: that run the reference core because an obs bus, race detector or
+#: controller is attached (see :class:`repro.sim.machine.Machine`).
+_COUNTERS = {"codegen": 0, "mem_hit": 0, "disk_hit": 0, "reference_swap": 0}
 
 #: in-process cache: program source digest -> make_runner factory.
 _RUNNERS: dict[str, object] = {}

@@ -222,25 +222,18 @@ class Machine:
             self.obs.subscribe(self.trace_recorder.on_event)
         core_cls = Core
         if sim_mode == "specialized":
+            from .fast import specialize
+
             # The specialized closures have no per-instruction hooks, so
             # observation, race detection and live reconfiguration (whose
-            # decisions are processing-order sensitive) silently keep the
-            # reference core — correctness first, speed when unobserved.
+            # decisions are processing-order sensitive) keep the
+            # reference core — correctness first, speed when unobserved —
+            # and the swap is counted.
             if (self.obs is None and self.race_detector is None
                     and controller is None):
-                from .fast.specialize import SpecializedCore
-
-                core_cls = SpecializedCore
-        elif sim_mode == "batched":
-            if (self.obs is not None or self.race_detector is not None
-                    or controller is not None or faults is not None):
-                raise ValueError(
-                    "batched sim_mode cannot carry obs/race/controller/"
-                    "fault hooks; run those lanes on the scalar path"
-                )
-            from .fast.batch import BatchCore
-
-            core_cls = BatchCore
+                core_cls = specialize.SpecializedCore
+            else:
+                specialize._COUNTERS["reference_swap"] += 1
         elif sim_mode != "reference":
             raise ValueError(f"unknown sim_mode {sim_mode!r}")
         self.cores = [

@@ -60,6 +60,28 @@ RETRY_DELAY = 0.002
 TMP_GRACE = 60.0
 
 
+def atomic_write_json(path: str | os.PathLike, doc: Any) -> None:
+    """Write ``doc`` to ``path`` as indented, key-sorted JSON, atomically.
+
+    The text goes to a temp file in the target directory that is then
+    ``os.replace``d into place, so a reader sees the old file or the
+    whole new one; the temp file is removed when anything fails.
+    """
+    directory = os.path.dirname(os.fspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def store_root() -> Path:
     """Resolve the store root from the environment."""
     env = os.environ.get(ROOT_ENV)

@@ -204,6 +204,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0 and "REPRODUCED" in out
 
+    def test_fuzz_unknown_sim_mode_exits_2(self, capsys, tmp_path):
+        from repro.fuzz.artifact import save_artifact
+        from repro.kernels import get_kernel
+
+        art = save_artifact(
+            tmp_path / "repro-batched.json", get_kernel("umt2k-1").loop(),
+            signature="ok", seed=0, trial=0, trip=8, n_cores=2,
+            queue_depth=20, speculation=False, sim_modes=["batched"],
+        )
+        assert main(["fuzz", "--replay", str(art)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("fuzz: ") and "batched" in out
+        assert main(["fuzz", "--trials", "1", "--sim-modes", "batched"]) == 2
+        assert "batched" in capsys.readouterr().out
+
     def test_cache_stats_clear_gc(self, capsys, tmp_path):
         root = str(tmp_path / "cache-cli")
         assert main(["cache", "stats", "--dir", root]) == 0

@@ -1,7 +1,10 @@
 """Unit tests for code-graph merging (§III-B) and refinement."""
 
-import networkx as nx
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compiler import (
     CompilerConfig,
@@ -10,6 +13,7 @@ from repro.compiler import (
     merge_partitions,
 )
 from repro.compiler.config import MergeWeights
+from repro.compiler.merge import strongly_connected_components
 from repro.ir import F64, LoopBuilder, normalize
 from repro.kernels import get_kernel
 
@@ -88,19 +92,20 @@ class TestThroughputHeuristic:
         parts = merge_partitions(
             g, 4, CompilerConfig(throughput_heuristic=True)
         )
-        # build the partition-level digraph and assert it is a DAG
+        # build the partition-level digraph and assert it is a DAG:
+        # with no self-loops, acyclic means no component of size > 1
         fs = g.fiberset
         home = {}
         for p in parts:
             for op in p.ops:
                 home[id(op)] = p.pid
-        dg = nx.DiGraph()
-        dg.add_nodes_from(p.pid for p in parts)
+        dg = set()
         for e in g.edges:
             a, b = home[id(e.producer)], home[id(e.consumer)]
             if a != b:
-                dg.add_edge(a, b)
-        assert nx.is_directed_acyclic_graph(dg)
+                dg.add((a, b))
+        sccs = strongly_connected_components((p.pid for p in parts), dg)
+        assert all(len(c) == 1 for c in sccs)
 
     def test_unconstrained_may_cycle(self):
         """Sanity: the default merge is allowed to produce cyclic
@@ -151,3 +156,35 @@ class TestWeights:
         sig_a = sorted(sorted(p.fids) for p in a)
         sig_b = sorted(sorted(p.fids) for p in b)
         assert sig_a != sig_b
+
+
+def _scc_oracle(n, edges):
+    """Components by brute-force mutual reachability (transitive closure)."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        reach[a][b] = True
+    for k, i, j in itertools.product(range(n), repeat=3):
+        reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return sorted({
+        tuple(w for w in range(n) if reach[v][w] and reach[w][v])
+        for v in range(n)
+    })
+
+
+class TestStronglyConnectedComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(0, n - 1)),
+                           st.integers(0, max(0, n - 1))),
+                 max_size=3 * n),
+    )))
+    def test_matches_mutual_reachability(self, graph):
+        n, edges = graph
+        got = strongly_connected_components(range(n), edges)
+        assert all(c == sorted(c) for c in got)
+        assert sorted(map(tuple, got)) == _scc_oracle(n, edges)
+
+    def test_edge_endpoints_are_nodes(self):
+        assert sorted(strongly_connected_components([], [(1, 2), (2, 1)])) \
+            == [[1, 2]]
